@@ -13,7 +13,10 @@ FAILS unless:
 * the full report reassembled from the individually served sections
   (``GET /jobs/<id>/tables/<name>`` plus the headered figures) is
   byte-identical to that CLI report, i.e. every served table matches
-  its section of the report exactly.
+  its section of the report exactly;
+* an epoch-1 delta job's served report is byte-identical to ``python -m
+  repro report --store <store>-e1``: epoch jobs serve from their own
+  store, not the base one.
 
 Exit status 0 on pass, 1 on any violation.
 """
@@ -67,6 +70,17 @@ def _fail(message: str) -> int:
     return 1
 
 
+def _cli_report(store: str) -> str:
+    result = subprocess.run(
+        [sys.executable, "-m", "repro", "report", "--store", store],
+        capture_output=True, text=True, cwd=REPO_ROOT,
+        env={"PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    if result.returncode != 0:
+        raise RuntimeError(f"repro report failed:\n{result.stderr}")
+    return result.stdout
+
+
 def main() -> int:
     from repro.reporting import FIGURE_SECTIONS, section_names
     from repro.service import ReproServer
@@ -107,14 +121,10 @@ def main() -> int:
             print(f"serve-check: {len(events)} events,"
                   " two subscribers identical")
 
-            result = subprocess.run(
-                [sys.executable, "-m", "repro", "report", "--store", store],
-                capture_output=True, text=True, cwd=REPO_ROOT,
-                env={"PYTHONPATH": str(REPO_ROOT / "src")},
-            )
-            if result.returncode != 0:
-                return _fail(f"repro report failed:\n{result.stderr}")
-            expected = result.stdout
+            try:
+                expected = _cli_report(store)
+            except RuntimeError as exc:
+                return _fail(str(exc))
 
             served_report = _get(
                 server.url + f"/jobs/{job['id']}/report").decode()
@@ -139,6 +149,27 @@ def main() -> int:
                              " differs from `repro report`")
             print(f"serve-check: {len(parts)} served sections reassemble"
                   " the report byte-identically")
+
+            epoch_job = _post_json(server.url + "/jobs", {
+                "seed": SEED, "scale": SCALE, "epoch": 1, "delta": True})
+            events = list(parse_stream([_get(
+                server.url + f"/jobs/{epoch_job['id']}/events")]))
+            if events[-1][1] != "job_done":
+                return _fail(f"epoch-1 job ended with {events[-1][1]}")
+            try:
+                epoch_expected = _cli_report(store + "-e1")
+            except RuntimeError as exc:
+                return _fail(str(exc))
+            served_epoch = _get(
+                server.url + f"/jobs/{epoch_job['id']}/report").decode()
+            if served_epoch != epoch_expected:
+                return _fail("epoch-1 GET /report differs from `repro "
+                             "report --store <store>-e1`")
+            if epoch_expected == expected:
+                return _fail("epoch-1 report equals epoch 0's; the check "
+                             "cannot tell the stores apart")
+            print("serve-check: epoch-1 delta job serves its own store's"
+                  " report byte-identically")
         finally:
             server.stop()
     print("serve-check: PASS")

@@ -167,4 +167,7 @@ class FetchCache(BoundedCache):
         ok, payload = self.get_or_create(key, outcome)
         if ok:
             return payload
-        raise payload
+        # The one exception object is shared by every hit: a bare
+        # ``raise`` would prepend this lookup's frames to the traceback
+        # of all earlier ones, keeping their frames (and locals) alive.
+        raise payload.with_traceback(None)

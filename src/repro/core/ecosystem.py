@@ -188,7 +188,11 @@ def build_figure3(
     """Most prevalent third-party organizations in the porn ecosystem."""
     porn_orgs = _org_site_counts(porn_labels, porn_attribution)
     regular_orgs = _org_site_counts(regular_labels, regular_attribution)
-    ranked = sorted(porn_orgs.items(), key=lambda item: -len(item[1]))[:top_n]
+    # Ties rank by name.  First appearance would follow set iteration
+    # order, which differs once labels are pickled back from a forked
+    # crawl worker, so parallel and serial runs could rank ties apart.
+    ranked = sorted(porn_orgs.items(),
+                    key=lambda item: (-len(item[1]), item[0]))[:top_n]
     bars = []
     for organization, porn_pages in ranked:
         regular_pages = regular_orgs.get(organization, set())

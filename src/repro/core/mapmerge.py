@@ -11,14 +11,13 @@ site order) -> result``.  The monolithic forms stay the source of truth;
 ``tests/test_incremental.py`` asserts ``merge(map(...))`` equal to them
 object-for-object and byte-for-byte through the rendered report.
 
-Byte-identity is stronger than value-equality: several consumers break
-ranking ties by *insertion order* (``build_figure3`` via the order
-organizations first appear while walking ``third_party_direct``,
-Table 4 via ``per_domain_sites`` first-touch order), and CPython
-set/dict iteration order depends on insertion history.  So partials do
-not store bare sets — they store the **operation sequence** the
-monolithic code would have executed for that site (first-touch ordered
-tuples, record ordinals for interleavings), and every merge replays
+Byte-identity is stronger than value-equality: consumers may break
+ranking ties by *insertion order* (Table 4 via ``per_domain_sites``
+first-touch order), and CPython set/dict iteration order depends on
+insertion history.  So partials do not store bare sets — they store
+the **operation sequence** the monolithic code would have executed for
+that site (first-touch ordered tuples, record ordinals for
+interleavings), and every merge replays
 those operations in log order.  The merged containers then have the
 same insertion history as the monolithic ones, hence the same iteration
 order, hence identical rendered bytes.

@@ -7,24 +7,32 @@ the API does *not* serve is ``GET /jobs/<id>/events`` — that is a
 streaming response the handler writes itself from the job's
 :class:`~repro.service.events.EventLog`.
 
-Result endpoints render from the shared store through a cached
-store-only :class:`~repro.study.Study` — the exact object ``repro
-report`` builds — via :mod:`repro.reporting.sections`, so a served
-table is byte-identical to the corresponding chunk of the CLI report by
+Result endpoints render through one store-only
+:class:`~repro.study.Study` per store path — the base store for epoch-0
+jobs, the ``-eN`` sibling for epoch-N jobs — via
+:mod:`repro.reporting.sections`, so a served table is byte-identical to
+the corresponding chunk of ``repro report --store <that store>`` by
 construction (``make serve-check`` reassembles and diffs the whole
-report to enforce it).  The cache is sound because results are a pure
-function of the store's pinned universe config: new jobs can only *add*
-runs for the same config, never change a rendered section.
+report to enforce it).  A finished job hands over the study that
+computed it (:meth:`ServiceAPI.register_result`), so its sections come
+from that study's memo; a store no job has handed over (after a
+restart, say) gets a cold store-only study built on first use, exactly
+what ``repro report`` builds.  Keeping one study per store is sound
+because results are a pure function of the store's pinned universe
+config: new jobs can only *add* runs for the same config, never change
+a rendered section.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
-from typing import Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, List, Optional, Tuple
 
-from .jobs import JobManager, JobSpec, JobState
+from .jobs import JobManager, JobSpec, JobState, epoch_store_path
 
 __all__ = ["ApiError", "ServiceAPI"]
 
@@ -53,13 +61,23 @@ def _text_response(status: int, text: str) -> Response:
 
 
 class ServiceAPI:
-    """Routes requests against one :class:`JobManager` and one store."""
+    """Routes requests against one :class:`JobManager` and one store.
+
+    Registers itself as the manager's ``on_result`` hook, so every
+    finished job's study becomes the result study of the store it wrote.
+    """
 
     def __init__(self, manager: JobManager, store) -> None:
         self.manager = manager
         self.store = store
         self._study_lock = threading.Lock()
-        self._result_study = None
+        #: Store path -> the study its results render from.
+        self._results: Dict[str, object] = {}
+        #: Store path -> requests rendering from it right now, and the
+        #: replaced studies whose stores close once that count is zero.
+        self._rendering: Dict[str, int] = {}
+        self._retired: Dict[str, List[object]] = {}
+        manager.on_result = self.register_result
 
     # -- routing --------------------------------------------------------
 
@@ -188,38 +206,95 @@ class ServiceAPI:
 
     # -- results --------------------------------------------------------
 
-    def result_study(self):
-        """The cached store-only study every result endpoint renders from."""
+    def result_study(self, path: Optional[str] = None):
+        """The store-only study results for the store at ``path`` (the
+        base store by default) render from: the one a finished job
+        handed over, or else a cold one built on first use."""
+        path = path or self.store.path
         with self._study_lock:
-            if self._result_study is not None:
-                return self._result_study
-            config = self.store.stored_config()
-            if config is None:
-                raise ApiError(409, (
-                    f"store {self.store.path} holds no runs yet; submit a "
-                    "job and wait for it to finish"
-                ))
-            from ..study import Study
-            from ..webgen.builder import build_universe
+            study = self._results.get(path)
+            if study is None:
+                study = self._results[path] = self._cold_study(path)
+            return study
 
-            self._result_study = Study(
-                build_universe(config, lazy=True),
-                store=self.store, store_only=True,
-            )
-            return self._result_study
+    def _cold_study(self, path: str):
+        from ..datastore import CrawlStore
+        from ..study import Study
+        from ..webgen.builder import build_universe
+
+        store = CrawlStore(path) if os.path.exists(path) else None
+        config = store.stored_config() if store is not None else None
+        if config is None:
+            if store is not None:
+                store.close()
+            raise ApiError(409, (
+                f"store {path} holds no runs yet; submit a job and wait "
+                "for it to finish"
+            ))
+        return Study(build_universe(config, lazy=True), store=store,
+                     store_only=True)
+
+    def register_result(self, study) -> None:
+        """Serve ``study`` (a job's store-only reader) as the result
+        study of its store, closing the store of the one it replaces as
+        soon as no request is rendering from it."""
+        path = study.store.path
+        with self._study_lock:
+            replaced = self._results.get(path)
+            self._results[path] = study
+            if replaced is None:
+                return
+            if self._rendering.get(path):
+                self._retired.setdefault(path, []).append(replaced)
+                return
+        replaced.store.close()
+
+    @contextmanager
+    def _rendering_from(self, path: str):
+        with self._study_lock:
+            self._rendering[path] = self._rendering.get(path, 0) + 1
+        try:
+            yield
+        finally:
+            with self._study_lock:
+                self._rendering[path] -= 1
+                retired = ([] if self._rendering[path]
+                           else self._retired.pop(path, []))
+            for study in retired:
+                study.store.close()
+
+    def close(self) -> None:
+        """Close the store of every result study, current or replaced."""
+        with self._study_lock:
+            studies = list(self._results.values())
+            for retired in self._retired.values():
+                studies.extend(retired)
+            self._results.clear()
+            self._retired.clear()
+        for study in studies:
+            study.store.close()
 
     def _result(self, job_id: str, family: str,
                 name: Optional[str]) -> Response:
-        from ..datastore import MissingRunError
-        from ..reporting import sections as reporting
-
         job = self._job(job_id)
         if job.state != JobState.DONE:
             raise ApiError(409, (
                 f"job {job_id} is {job.state}; results are served once it "
                 "is done"
             ))
-        study = self.result_study()
+        path = epoch_store_path(self.store.path, job.spec.epoch)
+        with self._rendering_from(path):
+            # The base store's study is the no-argument form, so a
+            # wrapper around ``result_study`` sees every epoch-0 render.
+            study = (self.result_study(path) if job.spec.epoch
+                     else self.result_study())
+            return self._render(study, job, family, name)
+
+    def _render(self, study, job, family: str,
+                name: Optional[str]) -> Response:
+        from ..datastore import MissingRunError
+        from ..reporting import sections as reporting
+
         scale, geo = job.spec.scale, job.spec.geo
         try:
             if family == "report":

@@ -24,7 +24,9 @@ universe, wraps it in a ``Study`` bound to the shared store with
 under which crawl progress hooks fire inline), and evaluates the
 study's analysis task list.  Concurrency across jobs is safe because
 ``stored_crawl`` serializes same-run crawls in-process and WAL
-serializes cross-connection writes.
+serializes cross-connection writes.  A finished job's study is handed
+over, as a store-only reader, to whoever serves its results before
+``job_done`` is published (:attr:`JobManager.on_result`).
 """
 
 from __future__ import annotations
@@ -36,9 +38,12 @@ import sqlite3
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from .events import EventLog
+
+if TYPE_CHECKING:
+    from ..study import Study
 
 __all__ = [
     "ANALYSIS_NAMES",
@@ -263,8 +268,14 @@ class JobJournal:
 
 
 def execute_job(job: Job, store_path: str, *,
-                store_shards: Optional[int] = None) -> None:
+                store_shards: Optional[int] = None) -> Study:
     """Run one job's study against the shared store, publishing events.
+
+    Returns the study's store-only reader (:meth:`Study.store_reader`),
+    which owns the job's open :class:`~repro.datastore.CrawlStore`: the
+    results it computed, ready to serve.  The aggregate cache and the
+    delta baseline are closed before returning; on any exception the
+    store is closed too.
 
     Raises :class:`JobCancelled` when the job's cancel flag is seen at a
     checkpoint boundary (the just-finished site is already durable) or
@@ -305,17 +316,27 @@ def execute_job(job: Job, store_path: str, *,
                   store_shards=store_shards, parallelism=1,
                   baseline_store=baseline, aggregate_cache=True,
                   progress=progress)
-    tasks = study._analysis_tasks(geo=spec.geo,
-                                  countries=spec.countries or None)
-    if spec.analyses:
-        wanted = set(spec.analyses)
-        tasks = [(name, thunk) for name, thunk in tasks if name in wanted]
-    for name, thunk in tasks:
-        if job.cancel_requested.is_set():
-            raise JobCancelled(job.id)
-        publish("analysis_started", {"name": name})
-        thunk()
-        publish("analysis_finished", {"name": name})
+    try:
+        tasks = study._analysis_tasks(geo=spec.geo,
+                                      countries=spec.countries or None)
+        if spec.analyses:
+            wanted = set(spec.analyses)
+            tasks = [(name, thunk) for name, thunk in tasks
+                     if name in wanted]
+        for name, thunk in tasks:
+            if job.cancel_requested.is_set():
+                raise JobCancelled(job.id)
+            publish("analysis_started", {"name": name})
+            thunk()
+            publish("analysis_finished", {"name": name})
+    except BaseException:
+        study.store.close()
+        raise
+    finally:
+        study.aggregate_cache.close()
+        if study.baseline_store is not None:
+            study.baseline_store.close()
+    return study.store_reader()
 
 
 class JobManager:
@@ -325,11 +346,17 @@ class JobManager:
     re-enqueued in submission order; completed ones get their terminal
     event republished so late subscribers still see a closed stream);
     :meth:`start` spins up the workers.
+
+    A runner that returns a :class:`~repro.study.Study` hands over the
+    results it computed: the manager passes that study to
+    :attr:`on_result` before the job's ``job_done`` event is published,
+    so a subscriber that sees ``job_done`` can fetch results from it.
+    With no :attr:`on_result` set, the study's store is closed.
     """
 
     def __init__(self, store_path: str, *, workers: int = 1,
                  store_shards: Optional[int] = None,
-                 runner: Optional[Callable[[Job], None]] = None) -> None:
+                 runner: Optional[Callable[[Job], object]] = None) -> None:
         self.store_path = str(store_path)
         self.store_shards = store_shards
         self.workers = max(1, int(workers))
@@ -340,6 +367,8 @@ class JobManager:
         self._lock = threading.Lock()
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._threads: List[threading.Thread] = []
+        #: Receives each finished job's result study (see the class doc).
+        self.on_result: Optional[Callable[[Study], None]] = None
         self._recover()
 
     # -- lifecycle ------------------------------------------------------
@@ -431,6 +460,16 @@ class JobManager:
             payload["error"] = error
         job.events.publish(f"job_{state}", payload)
 
+    def _hand_over(self, result: object) -> None:
+        from ..study import Study
+
+        if not isinstance(result, Study):
+            return  # a runner with nothing to serve
+        if self.on_result is not None:
+            self.on_result(result)
+        else:
+            result.store.close()
+
     def _work(self) -> None:
         while True:
             job_id = self._queue.get()
@@ -445,7 +484,7 @@ class JobManager:
             self.journal.update(job)
             job.events.publish("job_started", {"id": job.id})
             try:
-                self._runner(job)
+                self._hand_over(self._runner(job))
             except JobCancelled:
                 self._finish(job, JobState.CANCELLED)
             except Exception as exc:  # noqa: BLE001 — job isolation

@@ -38,6 +38,10 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin shim: parse, delegate to the API, write; stream SSE inline."""
 
     protocol_version = "HTTP/1.1"
+    # ``_write`` sends the headers and the body as two writes; with
+    # Nagle's algorithm on, the body waits for the client's delayed ACK
+    # of the headers (up to 40 ms) on every keep-alive response.
+    disable_nagle_algorithm = True
     server: "_HTTPServer"
 
     # -- plumbing -------------------------------------------------------
@@ -176,4 +180,5 @@ class ReproServer:
             self._serve_thread.join(timeout=5)
             self._serve_thread = None
         self.manager.stop()
+        self.api.close()
         self.store.close()

@@ -197,6 +197,28 @@ class Study:
         return cls(build_universe(config or UniverseConfig()),
                    parallelism=parallelism, store=store)
 
+    def store_reader(self) -> "Study":
+        """A ``store_only`` study over this study's universe, store and memo.
+
+        Whatever this study already computed is served from the memo;
+        anything else reads from the store or raises
+        :class:`~repro.datastore.MissingRunError`, exactly as a fresh
+        ``store_only`` study would.  The crawl-time attachments stay
+        behind: the progress hook, the delta baseline and the aggregate
+        cache (with the per-run engines memoized over it), so the caller
+        may close those once this study is done.
+        """
+        if self.store is None:
+            raise ValueError("store_reader() requires a store")
+        reader = Study(self.universe, vantage_points=self.vantage_points,
+                       home_country=self.home_country,
+                       parallelism=self.parallelism, store=self.store,
+                       store_only=True)
+        with self._cache_lock:
+            reader._cache = {key: value for key, value in self._cache.items()
+                             if not key.startswith("incremental:")}
+        return reader
+
     def _memo(self, key: str, factory):
         """Thread-safe memoization: one factory run per key, ever.
 

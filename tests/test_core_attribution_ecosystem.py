@@ -3,7 +3,9 @@
 import pytest
 
 from repro.blocklists.disconnect import DisconnectEntry, DisconnectList
-from repro.core.attribution import attribute_organizations
+from repro.core.attribution import AttributionResult, attribute_organizations
+from repro.core.ecosystem import build_figure3
+from repro.core.partylabel import PartyLabels
 from repro.net.tls import Certificate
 
 
@@ -55,6 +57,30 @@ class TestAttributionUnit:
     def test_domains_of_organization(self):
         result = self.attribute(["ads.doubleclick.net", "exoclick.com"])
         assert result.domains_of("Alphabet") == {"ads.doubleclick.net"}
+
+
+class TestFigure3Ties:
+    def test_ties_rank_by_name_not_first_appearance(self):
+        """Which tied organization a page's third-party set yields first
+        depends on the set's history (labels pickled back from a forked
+        crawl worker iterate differently), so it must not order ties."""
+        attribution = AttributionResult(organization_of={
+            "a.zeta.com": "Zeta Ads", "b.alpha.com": "Alpha Media",
+            "c.beta.com": "Beta Ltd",
+        })
+        labels = PartyLabels(third_party_direct={
+            "one.com": {"a.zeta.com", "c.beta.com"},
+            "two.com": {"c.beta.com"},
+            "three.com": {"b.alpha.com"},
+        })
+        bars = build_figure3(
+            porn_labels=labels, regular_labels=PartyLabels(),
+            porn_attribution=attribution,
+            regular_attribution=AttributionResult(),
+            porn_visited=3, regular_visited=1,
+        )
+        assert [bar.organization for bar in bars] == \
+            ["Beta Ltd", "Alpha Media", "Zeta Ads"]
 
 
 class TestAttributionIntegration:

@@ -1,5 +1,7 @@
 """Tests for the parallel crawl executor and the fetch/parse caches."""
 
+import traceback
+
 import pytest
 
 from repro import Study
@@ -265,6 +267,21 @@ class TestFetchCache:
             with pytest.raises(ValueError):
                 cache.fetch("k", boom)
         assert len(calls) == 1
+
+    def test_replayed_failure_traceback_does_not_grow(self):
+        """Every hit re-raises one shared exception object; its traceback
+        must describe this lookup only, not every lookup before it."""
+        cache = FetchCache()
+
+        def boom():
+            raise ValueError("deterministic")
+
+        lengths = []
+        for _ in range(5):
+            with pytest.raises(ValueError) as caught:
+                cache.fetch("k", boom)
+            lengths.append(len(traceback.extract_tb(caught.value.__traceback__)))
+        assert lengths == [lengths[0]] * 5
 
 
 class TestBoundedCache:

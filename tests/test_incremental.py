@@ -124,7 +124,7 @@ class TestMapMergeParity:
             for d in domains]
         got = mapmerge.merge_labels(parts)
         assert got == ref
-        # Iteration order too: figure3's tie-break leaks set order.
+        # Iteration order too: merges replay the insertion history.
         assert list(got.third_party_direct) == list(ref.third_party_direct)
         for page in ref.third_party_direct:
             assert list(got.third_party_direct[page]) == \

@@ -8,10 +8,14 @@ and the HTTP result endpoints' byte-identity with ``repro report``.
 
 from __future__ import annotations
 
+import http.client
 import json
+import sys
 import threading
+import time
 import urllib.error
 import urllib.request
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,6 +30,7 @@ from repro.service import (
     ReproServer,
     TERMINAL_KINDS,
 )
+from repro.service.api import ServiceAPI
 from repro.service.jobs import JobJournal, execute_job, journal_path
 from repro.service.sse import HEARTBEAT_FRAME, format_event, parse_stream
 
@@ -310,7 +315,7 @@ class TestCancellationResumesFromCheckpoints:
         assert len(finished_sites) == 5  # stopped at the boundary
 
         resumed = Job(id="2", spec=spec)
-        execute_job(resumed, store, store_shards=2)
+        execute_job(resumed, store, store_shards=2).store.close()
         run_started = [event for event in resumed.events.snapshot()
                        if event.kind == "run_started"]
         # The first crawl run picks up exactly the five durable sites.
@@ -445,6 +450,44 @@ class TestServerEndToEnd:
                                               "scale": SCALE})
         assert excinfo.value.code == 409
 
+    def test_keep_alive_responses_do_not_stall(self, server):
+        """Headers and body go out as two writes; with Nagle's algorithm
+        on, each response's body waits for the client's delayed ACK
+        (~40 ms), so ten keep-alive GETs took >= 0.4 s."""
+        conn = http.client.HTTPConnection("127.0.0.1", server.port,
+                                          timeout=30)
+        try:
+            conn.request("GET", "/jobs")  # connect outside the timing
+            conn.getresponse().read()
+            started = time.perf_counter()
+            for _ in range(10):
+                conn.request("GET", "/jobs")
+                response = conn.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            conn.close()
+        assert elapsed < 0.2, f"ten keep-alive GETs took {elapsed:.3f} s"
+
+    def test_epoch_job_serves_its_own_store(self, server, done_job,
+                                            capsys):
+        """An epoch-1 delta job's report is the ``-e1`` store's report,
+        not the base store's."""
+        from repro.__main__ import main
+
+        job = _post_json(server.url + "/jobs",
+                         {"seed": SEED, "scale": SCALE, "epoch": 1,
+                          "delta": True})
+        _get(server.url + f"/jobs/{job['id']}/events")  # to job_done
+        assert main(["report", "--store", server.store.path + "-e1"]) == 0
+        expected = capsys.readouterr().out
+        served = _get(server.url + f"/jobs/{job['id']}/report").decode()
+        assert served == expected
+        base, _ = done_job
+        assert served != _get(
+            server.url + f"/jobs/{base['id']}/report").decode()
+
     def test_submit_unknown_field_is_400(self, server):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             _post_json(server.url + "/jobs", {"sites": 5})
@@ -470,3 +513,114 @@ class TestServerEndToEnd:
     def test_terminal_kinds_cover_job_states(self):
         assert TERMINAL_KINDS == {f"job_{state}"
                                   for state in JobState.TERMINAL}
+
+
+class TestResultHandoff:
+    """A finished job's study serves its results; every store handle the
+    service opens is closed by the time it stops."""
+
+    def test_job_study_handed_over_and_stores_closed(self, tmp_path,
+                                                     monkeypatch):
+        from repro.datastore import AggregateStore, CrawlStore
+
+        closed, aggregates = [], []
+        real_close = CrawlStore.close
+        real_aggregate_init = AggregateStore.__init__
+        real_aggregate_close = AggregateStore.close
+
+        def close(store):
+            closed.append(store)
+            real_close(store)
+
+        def aggregate_init(store, *args, **kwargs):
+            aggregates.append(store)
+            real_aggregate_init(store, *args, **kwargs)
+
+        def aggregate_close(store):
+            closed.append(store)
+            real_aggregate_close(store)
+
+        monkeypatch.setattr(CrawlStore, "close", close)
+        monkeypatch.setattr(AggregateStore, "__init__", aggregate_init)
+        monkeypatch.setattr(AggregateStore, "close", aggregate_close)
+
+        spec = JobSpec(seed=SEED, scale=SCALE, analyses=("https",))
+        server = ReproServer(str(tmp_path / "store"), port=0, workers=1)
+        server.start()
+        try:
+            first = server.manager.submit(spec)
+            assert _drain(first)[-1].kind == "job_done"
+            # Registered before job_done was published.
+            study = server.api.result_study()
+            assert study.store_only and study.progress is None
+            assert study._memoized("https")
+            assert study.store not in closed
+            assert aggregates and all(a in closed for a in aggregates)
+            status, _, _ = server.api.handle(
+                "GET", f"/jobs/{first.id}/tables/table6")
+            assert status == 200
+            # Never computed and not in the store: 409, as a cold study.
+            status, _, _ = server.api.handle(
+                "GET", f"/jobs/{first.id}/tables/table8")
+            assert status == 409
+
+            second = server.manager.submit(spec)
+            assert _drain(second)[-1].kind == "job_done"
+            assert server.api.result_study() is not study
+            assert study.store in closed
+            replacement = server.api.result_study().store
+        finally:
+            server.stop()
+        assert replacement in closed
+        assert all(a in closed for a in aggregates)
+
+    @staticmethod
+    def _fake_result(name, closed):
+        store = SimpleNamespace(path="store",
+                                close=lambda: closed.append(name))
+        return SimpleNamespace(store=store)
+
+    def test_replaced_study_closes_after_in_flight_render(self):
+        closed = []
+        api = ServiceAPI(SimpleNamespace(), SimpleNamespace(path="store"))
+        api.register_result(self._fake_result("first", closed))
+        with api._rendering_from("store"):
+            api.register_result(self._fake_result("second", closed))
+            assert closed == []  # a request is still rendering from it
+        assert closed == ["first"]
+        api.register_result(self._fake_result("third", closed))
+        assert closed == ["first", "second"]
+        api.close()
+        assert closed == ["first", "second", "third"]
+
+    def test_concurrent_renders_and_handoffs_close_each_store_once(self):
+        closed = []
+        api = ServiceAPI(SimpleNamespace(), SimpleNamespace(path="store"))
+        names = iter(range(10**6))
+        names_lock = threading.Lock()
+
+        def worker():
+            for step in range(200):
+                with api._rendering_from("store"):
+                    if step % 7 == 0:
+                        with names_lock:
+                            name = next(names)
+                        api.register_result(self._fake_result(name, closed))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        registered = next(names)
+        # Every replaced study closed once; only the current one is open.
+        assert sorted(closed) == sorted(set(closed))
+        assert len(closed) == registered - 1
+        api.close()
+        assert sorted(closed) == list(range(registered))
