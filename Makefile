@@ -2,54 +2,19 @@ PYTHON ?= python
 SCALE ?= 0.2
 export PYTHONPATH := src
 
-.PHONY: test bench bench-quick profile store-check parallel-check \
+.PHONY: test paper-check profile store-check parallel-check \
 	scale-check serve-check delta-check incremental-check
 
 ## Run the tier-1 test suite.
 test:
 	$(PYTHON) -m pytest -x -q
 
-## Run the end-to-end pipeline benchmark for parallelism 1 and 4; writes
-## BENCH_pipeline.json at the repo root (each config in its own process).
-bench:
-	$(PYTHON) benchmarks/test_perf_pipeline.py --scale $(SCALE)
-
-## Fast sequential-only bench smoke (used by CI): scale 0.02, parallelism 1.
-## Writes BENCH_quick.json so the checked-in BENCH_pipeline.json stays put.
-bench-quick:
-	REPRO_PERF_MEM_SCALES=0.02,0.04 REPRO_PERF_DELTA_SCALE=0.05 \
-	$(PYTHON) benchmarks/test_perf_pipeline.py --scale 0.02 \
-		--parallelism-set 1 --output BENCH_quick.json
-	$(PYTHON) -c "import json; \
-	d = json.load(open('BENCH_quick.json')); \
-	assert d['schema'] == 'bench-pipeline/v7', d['schema']; \
-	stages = d['runs'][0]['stages']; \
-	wanted = ('analysis:table2', 'analysis:geography', 'analysis:banners', \
-	          'analysis:owners', 'analysis:policies', 'analysis:all'); \
-	missing = [k for k in wanted if k not in stages]; \
-	assert not missing, f'missing analysis stages: {missing}'; \
-	assert d['runs'][0]['stage_rss_mb']['crawl:all'] > 0; \
-	memory = d['memory_scaling']; \
-	assert memory['reference_tables_match'] is True, memory; \
-	service = d['service']; \
-	assert service['subscribers'] == 8, service; \
-	assert service['events_per_sec'] > 0, service; \
-	assert service['served_table_p50_ms'] > 0, service; \
-	delta = d['delta']; \
-	assert delta['stores_identical'] is True, delta; \
-	assert delta['spliced'] > 0, delta; \
-	assert delta['speedup'] and delta['speedup'] > 1.0, delta; \
-	incr = d['incremental_analysis']; \
-	assert incr['tables_identical'] is True, incr; \
-	assert incr['hits'] > 0 and incr['misses'] > 0, incr; \
-	assert incr['speedup'] and incr['speedup'] > 1.0, incr; \
-	print('bench-quick: schema v7, analysis:* stages present,', \
-	      'streaming tables match reference,', \
-	      'service block recorded,', \
-	      'delta store byte-identical at', \
-	      str(delta['speedup']) + 'x,', \
-	      'incremental analysis byte-identical at', \
-	      str(incr['speedup']) + 'x')"
+## Paper-shape gate (used by CI): the paper's claims asserted at scale
+## 0.2 (Tables 1-8, Figures 1/3/4, ablations), plus the scale-0.2 golden
+## digests of the rendered report in tests/golden/.
+paper-check:
+	REPRO_BENCH_SCALE=0.2 $(PYTHON) -m pytest benchmarks/ \
+		--benchmark-disable -q
 
 ## Memory-flatness gate: run the streaming probe (lazy universe, sharded
 ## store, trim-mode crawl, cursor analyses) at two scales and fail if the
@@ -113,12 +78,8 @@ delta-check:
 incremental-check:
 	$(PYTHON) benchmarks/incremental_check.py
 
-## Profile one sequential pipeline run and print the top-20 functions by
-## total own time.
+## Profile one serial `repro study` run (forked crawl workers would hide
+## from the profiler) and print functions by total own time.
 profile:
-	$(PYTHON) -c "import cProfile, pstats, sys; \
-	sys.argv = ['bench']; \
-	from benchmarks.test_perf_pipeline import run_pipeline; \
-	profiler = cProfile.Profile(); \
-	profiler.runcall(run_pipeline, $(SCALE), 1); \
-	pstats.Stats(profiler).sort_stats('tottime').print_stats(20)"
+	$(PYTHON) -m cProfile -s tottime -m repro study --scale $(SCALE) \
+		--parallelism 1

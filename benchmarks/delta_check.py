@@ -1,7 +1,7 @@
 """``make delta-check``: correctness + speedup gate for delta crawls.
 
-Runs the delta probe (see ``test_perf_pipeline.run_delta_probe``) in a
-fresh subprocess: crawl the seed epoch into a baseline store, evolve the
+Runs the delta probe (see ``harness.run_delta_probe``) in a fresh
+subprocess: crawl the seed epoch into a baseline store, evolve the
 universe one epoch (default 5% content churn, so well under 10% of
 sites change), then crawl epoch 1 twice in streaming mode — once as a
 delta crawl splicing provably-unchanged sites out of the baseline, once
@@ -30,56 +30,16 @@ Exit status 0 on pass, 1 on any violation.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import shutil
-import subprocess
 import sys
 import tempfile
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-PROBE_SCRIPT = pathlib.Path(__file__).resolve().parent / "test_perf_pipeline.py"
+from harness import render_sections, run_probe, store_study
 
 DEFAULT_SCALE = 0.2
 DEFAULT_CHURN = 0.05
 DEFAULT_SPEEDUP = 3.0
-
-#: Sections renderable from the probe's porn(ES) + regular runs alone.
-SECTIONS = ("corpus", "table2", "table3", "figure3", "table4", "figure4",
-            "table5", "table6", "malware")
-
-
-def _run_probe(scale: float, churn: float, store_dir: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    env["REPRO_PERF_DELTA_CHURN"] = str(churn)
-    env["REPRO_PERF_DELTA_STORE_DIR"] = store_dir
-    command = [sys.executable, str(PROBE_SCRIPT), "--scale", str(scale),
-               "--delta-probe", "--json"]
-    result = subprocess.run(command, env=env, capture_output=True, text=True)
-    if result.returncode != 0:
-        raise RuntimeError(
-            f"delta-probe child at scale {scale} failed:\n{result.stderr}"
-        )
-    return json.loads(result.stdout)
-
-
-def _render_sections(store_path: str) -> dict:
-    """Every supported section rendered from a store-only study."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro import Study
-    from repro.datastore import CrawlStore
-    from repro.reporting import render_section
-    from repro.webgen.builder import build_universe
-
-    store = CrawlStore(store_path)
-    config = store.stored_config()
-    study = Study(build_universe(config, lazy=True), store=store,
-                  store_only=True)
-    return {name: render_section(study, config.scale, name)
-            for name in SECTIONS}
 
 
 def main() -> int:
@@ -94,7 +54,8 @@ def main() -> int:
     try:
         print(f"delta-check: scale {scale}, churn {churn}, "
               f"speedup floor {floor}x")
-        probe = _run_probe(scale, churn, store_dir)
+        probe = run_probe("delta", scale=scale, churn=churn,
+                          store_dir=store_dir)
         changed = probe["crawled"] / probe["sites"] if probe["sites"] else 0.0
         print(f"  {probe['spliced']}/{probe['sites']} sites spliced "
               f"({changed:.1%} re-crawled), divergence points "
@@ -115,11 +76,11 @@ def main() -> int:
                   f"{floor}x floor", file=sys.stderr)
             failed = True
 
-        delta_sections = _render_sections(
-            os.path.join(store_dir, "epoch1-delta"))
-        full_sections = _render_sections(
-            os.path.join(store_dir, "epoch1-full"))
-        for name in SECTIONS:
+        delta_sections = render_sections(
+            store_study(os.path.join(store_dir, "epoch1-delta")))
+        full_sections = render_sections(
+            store_study(os.path.join(store_dir, "epoch1-full")))
+        for name in delta_sections:
             if delta_sections[name] == full_sections[name]:
                 print(f"  {name}: identical")
             else:

@@ -1,11 +1,10 @@
 """``make incremental-check``: correctness + speedup gate for the
 incremental map/merge analysis engine.
 
-Runs the incremental probe (see
-``test_perf_pipeline.run_incremental_probe``) in a fresh subprocess:
-crawl the seed epoch, render every supported section through the
-aggregate cache (the cold pass persists one partial per site per
-analysis), delta-crawl one evolved epoch (default 5% content churn),
+Runs the incremental probe (see ``harness.run_incremental_probe``) in
+a fresh subprocess: crawl the seed epoch, render every supported section
+through the aggregate cache (the cold pass persists one partial per site
+per analysis), delta-crawl one evolved epoch (default 5% content churn),
 then render the epoch-1 sections twice — incremental **first**, so the
 monolithic pass that follows inherits any warm OS caches and the
 reported speedup is conservative.  FAILS if any of:
@@ -34,59 +33,16 @@ Exit status 0 on pass, 1 on any violation.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
 import shutil
-import subprocess
 import sys
 import tempfile
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-PROBE_SCRIPT = pathlib.Path(__file__).resolve().parent / "test_perf_pipeline.py"
+from harness import render_sections, run_probe, store_study
 
 DEFAULT_SCALE = 0.2
 DEFAULT_CHURN = 0.05
 DEFAULT_SPEEDUP = 3.0
-
-#: Sections renderable from the probe's porn(ES) + regular runs alone.
-SECTIONS = ("corpus", "table2", "table3", "figure3", "table4", "figure4",
-            "table5", "table6", "malware")
-
-
-def _run_probe(scale: float, churn: float, store_dir: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    env["REPRO_PERF_DELTA_CHURN"] = str(churn)
-    env["REPRO_PERF_DELTA_STORE_DIR"] = store_dir
-    command = [sys.executable, str(PROBE_SCRIPT), "--scale", str(scale),
-               "--incremental-probe", "--json"]
-    result = subprocess.run(command, env=env, capture_output=True, text=True)
-    if result.returncode != 0:
-        raise RuntimeError(
-            f"incremental-probe child at scale {scale} failed:\n"
-            f"{result.stderr}"
-        )
-    return json.loads(result.stdout)
-
-
-def _render_sections(store_path: str, *, incremental: bool) -> dict:
-    """Every supported section from a store-only study, either path."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro import Study
-    from repro.datastore import CrawlStore
-    from repro.reporting import render_section
-    from repro.webgen.builder import build_universe
-
-    store = CrawlStore(store_path)
-    config = store.stored_config()
-    study = Study(build_universe(config, lazy=True), store=store,
-                  store_only=True, aggregate_cache=incremental or None)
-    sections = {name: render_section(study, config.scale, name)
-                for name in SECTIONS}
-    stats = study.aggregate_cache.stats.as_dict() if incremental else None
-    return sections, stats
 
 
 def main() -> int:
@@ -101,7 +57,8 @@ def main() -> int:
     try:
         print(f"incremental-check: scale {scale}, churn {churn}, "
               f"speedup floor {floor}x")
-        probe = _run_probe(scale, churn, store_dir)
+        probe = run_probe("incremental", scale=scale, churn=churn,
+                          store_dir=store_dir)
         print(f"  cold pass: {probe['cold']['misses']} partials mapped, "
               f"{probe['cached_rows']} rows "
               f"({probe['cached_bytes'] / 1024:.0f} KiB) cached "
@@ -132,16 +89,16 @@ def main() -> int:
         # Independent re-render: a fresh process over the stores the
         # probe left behind, through the now-warm cache vs. monolithic.
         epoch_store = os.path.join(store_dir, "epoch0-e1")
-        incremental_sections, stats = _render_sections(epoch_store,
-                                                       incremental=True)
-        monolithic_sections, _ = _render_sections(epoch_store,
-                                                  incremental=False)
+        incremental_study = store_study(epoch_store, incremental=True)
+        incremental_sections = render_sections(incremental_study)
+        monolithic_sections = render_sections(store_study(epoch_store))
+        stats = incremental_study.aggregate_cache.stats.as_dict()
         if stats["misses"] != 0:
             print(f"FAIL: warm re-render missed {stats['misses']} "
                   "partials — every epoch-1 partial should be cached by "
                   "now", file=sys.stderr)
             failed = True
-        for name in SECTIONS:
+        for name in incremental_sections:
             if incremental_sections[name] == monolithic_sections[name]:
                 print(f"  {name}: identical")
             else:

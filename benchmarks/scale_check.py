@@ -1,8 +1,8 @@
 """``make scale-check``: memory flatness + parity gate for the streaming path.
 
 Runs the streaming memory probe (lazy universe, sharded store, trim-mode
-crawl, cursor-fed analyses — see ``test_perf_pipeline.run_memory_probe``)
-at two scales in fresh subprocesses and FAILS if either:
+crawl, cursor-fed analyses — see ``harness.run_memory_probe``) at two
+scales in fresh subprocesses and FAILS if either:
 
 * the **crawl-path peak RSS ratio** between the scales exceeds the
   threshold (default 1.3, i.e. doubling the corpus must not come close
@@ -30,31 +30,13 @@ Exit status 0 on pass, 1 on any violation.
 
 from __future__ import annotations
 
-import json
 import os
-import pathlib
-import subprocess
 import sys
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-PROBE_SCRIPT = pathlib.Path(__file__).resolve().parent / "test_perf_pipeline.py"
+from harness import run_probe
 
 DEFAULT_SCALES = (0.2, 0.4)
 DEFAULT_RATIO = 1.3
-
-
-def _run_probe(scale: float, mode: str) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep \
-        + env.get("PYTHONPATH", "")
-    command = [sys.executable, str(PROBE_SCRIPT), "--scale", str(scale),
-               f"--{mode}", "--json"]
-    result = subprocess.run(command, env=env, capture_output=True, text=True)
-    if result.returncode != 0:
-        raise RuntimeError(
-            f"{mode} child at scale {scale} failed:\n{result.stderr}"
-        )
-    return json.loads(result.stdout)
 
 
 def main() -> int:
@@ -71,9 +53,9 @@ def main() -> int:
     small, large = scales
     print(f"scale-check: streaming probes at scales {small} and {large} "
           f"(threshold {threshold}x)")
-    probe_small = _run_probe(small, "memory-probe")
-    probe_large = _run_probe(large, "memory-probe")
-    reference = _run_probe(small, "reference-probe")
+    probe_small = run_probe("memory", scale=small)
+    probe_large = run_probe("memory", scale=large)
+    reference = run_probe("reference", scale=small)
 
     crawl_small = probe_small["stage_rss_mb"]["crawl:all"]
     crawl_large = probe_large["stage_rss_mb"]["crawl:all"]

@@ -25,15 +25,13 @@ from __future__ import annotations
 
 import json
 import pathlib
-import subprocess
 import sys
 import tempfile
 import threading
 import time
 import urllib.request
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(REPO_ROOT / "src"))
+from harness import cli_report
 
 SCALE = 0.02
 SEED = 20191021
@@ -68,17 +66,6 @@ def _stream(url: str, sink: list) -> None:
 def _fail(message: str) -> int:
     print(f"serve-check: FAIL — {message}", file=sys.stderr)
     return 1
-
-
-def _cli_report(store: str) -> str:
-    result = subprocess.run(
-        [sys.executable, "-m", "repro", "report", "--store", store],
-        capture_output=True, text=True, cwd=REPO_ROOT,
-        env={"PYTHONPATH": str(REPO_ROOT / "src")},
-    )
-    if result.returncode != 0:
-        raise RuntimeError(f"repro report failed:\n{result.stderr}")
-    return result.stdout
 
 
 def main() -> int:
@@ -122,7 +109,7 @@ def main() -> int:
                   " two subscribers identical")
 
             try:
-                expected = _cli_report(store)
+                expected = cli_report(store)
             except RuntimeError as exc:
                 return _fail(str(exc))
 
@@ -157,7 +144,7 @@ def main() -> int:
             if events[-1][1] != "job_done":
                 return _fail(f"epoch-1 job ended with {events[-1][1]}")
             try:
-                epoch_expected = _cli_report(store + "-e1")
+                epoch_expected = cli_report(store + "-e1")
             except RuntimeError as exc:
                 return _fail(str(exc))
             served_epoch = _get(

@@ -58,17 +58,11 @@ class Browser:
         log: Optional[CrawlLog] = None,
         keep_html: bool = True,
         request_filter=None,
-        use_manifest: bool = True,
     ) -> None:
         """``request_filter(url_str, page_domain, resource_type) -> bool``
         simulates a content blocker: when it returns True the request is
         cancelled before hitting the network (the paper's §10 proposes
         studying exactly this — ad-blocker effectiveness on this ecosystem).
-
-        ``use_manifest`` consumes the server's render manifest instead of
-        re-parsing HTML; set it False to force the historical parse-driven
-        subresource extraction (the two produce bit-identical crawl logs —
-        see ``tests/test_manifest_parity.py``).
         """
         self.universe = universe
         self.client = client
@@ -78,7 +72,6 @@ class Browser:
         )
         self.keep_html = keep_html
         self.request_filter = request_filter
-        self.use_manifest = use_manifest
         self.blocked_requests = 0
 
     # ------------------------------------------------------------------
@@ -257,9 +250,10 @@ class Browser:
 
         Prefers the server's render manifest (no parsing at all); falls
         back to the one-pass DOM extraction when the response carries none
-        or the browser was built with ``use_manifest=False``.
+        (the two produce bit-identical crawl logs — see
+        ``tests/test_manifest_parity.py``).
         """
-        if self.use_manifest and response.manifest is not None:
+        if response.manifest is not None:
             manifest = response.manifest
             return [
                 (resource_type, url)

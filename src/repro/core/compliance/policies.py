@@ -18,7 +18,6 @@ import numpy as np
 
 from ...crawler.selenium import PolicyObservation, SeleniumCrawler
 from ...crawler.vpn import VantagePointManager
-from ...text.tokenize import term_counts
 from ...webgen.universe import Universe
 
 __all__ = [
@@ -28,7 +27,6 @@ __all__ = [
     "collect_policies",
     "analyze_policies",
     "pairwise_similarity_fractions",
-    "pairwise_similarity_fractions_dense",
     "extract_disclosures",
 ]
 
@@ -126,8 +124,6 @@ def pairwise_similarity_fractions(
     sparse gram kernel (:class:`~repro.text.sparse.SimilarityEngine`):
     above-threshold pairs are *counted* per block strip, so neither the
     pair list nor any ``(n × vocab)`` / ``n × n`` array is materialized.
-    The historical dense implementation survives as
-    :func:`pairwise_similarity_fractions_dense` (parity reference).
     Returns ``(fraction, total_pairs)``.
     """
     n = len(texts)
@@ -138,40 +134,6 @@ def pairwise_similarity_fractions(
     engine = SimilarityEngine(use_idf=True).fit(texts)
     count, total_pairs = engine.count_pairs_above(threshold)
     return (count / total_pairs, total_pairs)
-
-
-def pairwise_similarity_fractions_dense(
-    texts: Sequence[str], *, threshold: float = 0.5
-) -> Tuple[float, int]:
-    """Historical dense-matrix reference: one full Gram product plus an
-    ``np.triu_indices`` extraction (kept for parity tests and the
-    benchmark's before/after measure)."""
-    n = len(texts)
-    if n < 2:
-        return (0.0, 0)
-    counts = [term_counts(text) for text in texts]
-    vocabulary: Dict[str, int] = {}
-    document_frequency: Dict[str, int] = {}
-    for count in counts:
-        for term in count:
-            if term not in vocabulary:
-                vocabulary[term] = len(vocabulary)
-            document_frequency[term] = document_frequency.get(term, 0) + 1
-    idf = np.zeros(len(vocabulary))
-    for term, index in vocabulary.items():
-        idf[index] = np.log((1 + n) / (1 + document_frequency[term])) + 1.0
-    matrix = np.zeros((n, len(vocabulary)))
-    for row, count in enumerate(counts):
-        for term, frequency in count.items():
-            matrix[row, vocabulary[term]] = (1.0 + np.log(frequency)) * \
-                idf[vocabulary[term]]
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    matrix /= norms
-    gram = matrix @ matrix.T
-    upper = gram[np.triu_indices(n, k=1)]
-    total_pairs = upper.size
-    return (float((upper > threshold).sum()) / total_pairs, total_pairs)
 
 
 @dataclass

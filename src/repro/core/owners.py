@@ -18,8 +18,6 @@ import re
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..html.parser import parse_html_cached
 from ..html.query import head, meta_tags
 from ..net.tls import Certificate
@@ -144,12 +142,10 @@ def _policy_similarity_pairs(
 ) -> List[Tuple[int, int]]:
     """Candidate same-owner pairs from policy TF similarity.
 
-    Log-TF weighting without IDF, exactly as the historical dense
-    implementation (retained as :func:`_policy_similarity_pairs_dense`),
-    but streamed from the blocked sparse gram kernel: no
-    ``(n × vocab)`` matrix, no ``n × n`` gram, and no ``np.triu``
-    boolean mask are ever allocated.  Pair order (row-major upper
-    triangle) is unchanged.
+    Log-TF weighting without IDF, streamed from the blocked sparse gram
+    kernel: no ``(n × vocab)`` matrix, no ``n × n`` gram, and no
+    ``np.triu`` boolean mask are ever allocated.  Pairs come in row-major
+    upper-triangle order.
     """
     if len(texts) < 2:
         return []
@@ -157,33 +153,6 @@ def _policy_similarity_pairs(
 
     engine = SimilarityEngine(use_idf=False).fit(texts)
     return list(engine.similar_pairs(threshold))
-
-
-def _policy_similarity_pairs_dense(
-    sites: Sequence[str], texts: Sequence[str], *, threshold: float
-) -> List[Tuple[int, int]]:
-    """Historical dense-matrix reference for the discovery stage
-    (kept for parity tests and the benchmark's before/after measure)."""
-    n = len(texts)
-    if n < 2:
-        return []
-    from ..text.tokenize import term_counts
-
-    counts = [term_counts(text) for text in texts]
-    vocabulary: Dict[str, int] = {}
-    for count in counts:
-        for term in count:
-            vocabulary.setdefault(term, len(vocabulary))
-    matrix = np.zeros((n, len(vocabulary)))
-    for row, count in enumerate(counts):
-        for term, frequency in count.items():
-            matrix[row, vocabulary[term]] = 1.0 + np.log(frequency)
-    norms = np.linalg.norm(matrix, axis=1, keepdims=True)
-    norms[norms == 0] = 1.0
-    matrix /= norms
-    gram = matrix @ matrix.T
-    pairs = np.argwhere(np.triu(gram > threshold, k=1))
-    return [(int(i), int(j)) for i, j in pairs]
 
 
 def discover_owners(

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..browser.events import CrawlLog, RequestRecord
 from ..net.tls import Certificate, certificate_matches_host, share_organization
-from ..net.url import parse_url, registrable_domain
+from ..net.url import URLError, parse_url, registrable_domain
 from ..text.levenshtein import domains_similar
 
 __all__ = ["PartyLabels", "label_parties"]
@@ -131,7 +131,7 @@ def _is_direct(record: RequestRecord) -> bool:
         return False
     try:
         referrer_host = parse_url(referrer).host
-    except Exception:
+    except URLError:
         return False
     return registrable_domain(referrer_host) == registrable_domain(record.page_domain)
 

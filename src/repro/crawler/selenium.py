@@ -18,7 +18,7 @@ from ..html.dom import Element
 from ..html.parser import parse_html
 from ..html.query import links
 from ..net.geo import VantagePoint
-from ..net.url import URL, parse_url
+from ..net.url import URL, URLError, parse_url
 from ..text.langs import (
     ACCOUNT_KEYWORDS,
     AGE_GATE_BUTTON_KEYWORDS,
@@ -227,7 +227,7 @@ class SeleniumCrawler:
         else:
             try:
                 url = parse_url(href)
-            except Exception:
+            except URLError:
                 return PolicyObservation(link_found=False)
         response = browser.fetch(url, page_domain=domain, resource_type="document",
                                  referrer=f"{scheme}://{domain}/")

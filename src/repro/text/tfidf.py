@@ -24,7 +24,6 @@ __all__ = [
     "TfIdfVectorizer",
     "cosine_similarity",
     "pairwise_similarities",
-    "pairwise_similarities_linear",
 ]
 
 Vector = Dict[str, float]
@@ -103,9 +102,8 @@ def pairwise_similarities(
     a generator so callers can stream and aggregate without materializing
     the full pair list.  Pairs come from the blocked sparse gram kernel
     (:class:`~repro.text.sparse.SimilarityEngine`, same log-TF × smoothed
-    IDF weighting as :class:`TfIdfVectorizer`) in the nested-loop order
-    of the historical dict-cosine implementation, which survives as
-    :func:`pairwise_similarities_linear` for parity testing.
+    IDF weighting as :class:`TfIdfVectorizer`) in nested-loop order:
+    ``(0, 1), (0, 2), ..., (1, 2), ...``.
     """
     from .sparse import SimilarityEngine
 
@@ -117,13 +115,3 @@ def pairwise_similarities(
     engine = SimilarityEngine(min_df=min_df, use_idf=True).fit(documents)
     return engine.iter_pairs()
 
-
-def pairwise_similarities_linear(
-    documents: Sequence[str], *, vectorizer: Optional[TfIdfVectorizer] = None
-) -> Iterable[Tuple[int, int, float]]:
-    """The historical O(n²) dict-cosine pair stream (reference path)."""
-    vectorizer = vectorizer or TfIdfVectorizer()
-    vectors = vectorizer.fit_transform(documents)
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            yield (i, j, cosine_similarity(vectors[i], vectors[j]))

@@ -31,7 +31,7 @@ from ..net.geo import COUNTRIES, GeoIPDatabase, IPAllocator
 from ..net.http import Headers, Request, Response
 from ..net.tls import Certificate
 from ..net.whois import WhoisRegistry
-from ..net.url import URL, parse_url, registrable_domain
+from ..net.url import URL, URLError, parse_url, registrable_domain
 from ..util import rng_for, stable_hash, token_for
 from .config import CalibrationTargets, UniverseConfig
 from .names import ADULT_KEYWORDS, NameFactory
@@ -643,7 +643,7 @@ class Universe:
             return "direct"
         try:
             return registrable_domain(parse_url(referrer).host)
-        except Exception:
+        except URLError:
             return "direct"
 
     def service_cookie_value(

@@ -110,6 +110,89 @@ class TestMalformedInputs:
         assert stats.total_cookies >= 1
 
 
+class TestURLParseFallbacks:
+    """Each fallback catches only the URL parse error: a malformed URL
+    takes it, and any other error propagates."""
+
+    MALFORMED = "http://example.com:notaport/"
+
+    @staticmethod
+    def _break_parse_url(monkeypatch, module):
+        def broken(*args, **kwargs):
+            raise RuntimeError("not a parse error")
+
+        monkeypatch.setattr(module, "parse_url", broken)
+
+    @staticmethod
+    def _record(referrer):
+        from repro.browser.events import RequestRecord
+
+        return RequestRecord(
+            url="https://tracker-net.com/x.js", fqdn="tracker-net.com",
+            scheme="https", page_domain="bigporn-page.com",
+            resource_type="script", initiator=None, referrer=referrer,
+        )
+
+    def test_is_direct_falls_back_on_malformed_referrer(self):
+        from repro.core.partylabel import _is_direct
+
+        assert _is_direct(self._record(self.MALFORMED)) is False
+
+    def test_is_direct_propagates_other_errors(self, monkeypatch):
+        from repro.core import partylabel
+
+        self._break_parse_url(monkeypatch, partylabel)
+        with pytest.raises(RuntimeError):
+            partylabel._is_direct(self._record("https://bigporn-page.com/"))
+
+    @staticmethod
+    def _request(referrer):
+        from repro.net.http import Headers, Request
+        from repro.net.url import parse_url
+
+        return Request(parse_url("https://tracker-net.com/x.js"),
+                       headers=Headers([("Referer", referrer)]))
+
+    def test_referrer_site_falls_back_on_malformed_referrer(self, universe):
+        assert universe._referrer_site(self._request(self.MALFORMED)) \
+            == "direct"
+
+    def test_referrer_site_propagates_other_errors(self, universe,
+                                                   monkeypatch):
+        from repro.webgen import universe as universe_module
+
+        self._break_parse_url(monkeypatch, universe_module)
+        with pytest.raises(RuntimeError):
+            universe._referrer_site(self._request("https://example.com/"))
+
+    @staticmethod
+    def _fetch_policy(universe, vantage_points, href):
+        from repro.browser.browser import Browser
+        from repro.crawler.selenium import SeleniumCrawler
+
+        crawler = SeleniumCrawler(universe, vantage_points.point("ES"))
+        document = parse_html(f'<a href="{href}">Privacy policy</a>')
+        return crawler._fetch_policy(
+            Browser(universe, crawler.client), "example.com", document,
+            https=True)
+
+    def test_fetch_policy_falls_back_on_malformed_href(self, universe,
+                                                       vantage_points):
+        observation = self._fetch_policy(universe, vantage_points,
+                                         self.MALFORMED)
+        assert observation.link_found is False
+
+    def test_fetch_policy_propagates_other_errors(self, universe,
+                                                  vantage_points,
+                                                  monkeypatch):
+        from repro.crawler import selenium
+
+        self._break_parse_url(monkeypatch, selenium)
+        with pytest.raises(RuntimeError):
+            self._fetch_policy(universe, vantage_points,
+                               "https://example.com/privacy")
+
+
 class TestCrawlFailureHandling:
     def test_dead_universe_site_produces_failed_visit(self, universe,
                                                       vantage_points):
