@@ -13,11 +13,15 @@ as a full re-crawl.  FAILS if any of:
   delta store and one over the full store — every table/figure the
   stores can support is rendered from each and diffed byte-for-byte;
 * the delta-vs-full **speedup** is below the floor (default 3.0x — the
-  regime the splice fast path exists for).
+  regime the splice fast path exists for);
+* the delta store's inspection pass (reusing epoch 0's for unchanged
+  sites) differs from the full store's, or reused no site.  Both
+  passes are recorded outside the timed crawl.
 
 The section set covers everything a single-vantage porn + regular crawl
-feeds (Tables 2-6, Figures 3-4, the malware rollup); Tables 1/7/8 need
-the inspection pass or extra vantage points the probe doesn't run.
+feeds (Tables 2-6, Figures 3-4, the malware rollup); Table 1's inputs
+are the stored crawl and the inspection pass, both compared above, and
+Tables 7/8 need extra vantage points the probe doesn't run.
 
 Configuration (environment):
 
@@ -76,10 +80,24 @@ def main() -> int:
                   f"{floor}x floor", file=sys.stderr)
             failed = True
 
-        delta_sections = render_sections(
-            store_study(os.path.join(store_dir, "epoch1-delta")))
-        full_sections = render_sections(
-            store_study(os.path.join(store_dir, "epoch1-full")))
+        inspections = probe["inspections"]
+        print(f"  inspections: {inspections['inspected']}/"
+              f"{inspections['sites']} sites re-inspected")
+        if inspections["inspected"] >= inspections["sites"]:
+            print("FAIL: delta inspection pass reused no site",
+                  file=sys.stderr)
+            failed = True
+
+        delta_study = store_study(os.path.join(store_dir, "epoch1-delta"))
+        full_study = store_study(os.path.join(store_dir, "epoch1-full"))
+        if delta_study.inspections() == full_study.inspections():
+            print("  inspections: identical")
+        else:
+            print("FAIL: delta store's inspection pass differs from the "
+                  "full store's", file=sys.stderr)
+            failed = True
+        delta_sections = render_sections(delta_study)
+        full_sections = render_sections(full_study)
         for name in delta_sections:
             if delta_sections[name] == full_sections[name]:
                 print(f"  {name}: identical")

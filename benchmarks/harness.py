@@ -167,6 +167,29 @@ def crawl_both(store, universe, targets, *, baseline=None) -> None:
                  keep_html=False, hydrate=False, baseline=baseline)
 
 
+def record_inspections(store, universe, *, baseline=None) -> dict:
+    """Record the interaction-crawler pass in ``store``, reusing
+    ``baseline``'s pass for unchanged sites as a study does.  Returns
+    the pass's site count and how many sites were really inspected."""
+    from repro import Study
+    from repro.crawler.selenium import SeleniumCrawler
+
+    inspected = []
+    inspect = SeleniumCrawler.inspect
+
+    def counting(crawler, domain):
+        inspected.append(domain)
+        return inspect(crawler, domain)
+
+    SeleniumCrawler.inspect = counting
+    try:
+        sites = len(Study(universe, store=store, baseline_store=baseline,
+                          parallelism=1).inspections())
+    finally:
+        SeleniumCrawler.inspect = inspect
+    return {"sites": sites, "inspected": len(inspected)}
+
+
 def _settle_heap() -> None:
     # Each timed pass allocates against whatever standing heap the
     # earlier phases left behind, and a full collection scans all of it,
@@ -252,10 +275,13 @@ def run_delta_probe(scale: float, churn: float, store_dir: str) -> dict:
     Crawls the seed epoch into ``store_dir/epoch0``, evolves one epoch,
     and crawls epoch 1 twice in streaming mode, the delta crawl *first*
     so the full crawl inherits any warm global caches and the reported
-    speedup is conservative.  Leaves ``epoch1-delta`` and ``epoch1-full``
-    in ``store_dir`` for the gate to re-render, and reports whether their
-    event rows are byte-identical, the spliced fraction, the speedup and
-    the per-kind jar-digest divergence points.
+    speedup is conservative.  Every store also records the inspection
+    pass (the delta store reusing epoch 0's), outside the timed crawl.
+    Leaves ``epoch1-delta`` and ``epoch1-full`` in ``store_dir`` for the
+    gate to re-render, and reports whether their event rows are
+    byte-identical, the spliced fraction, the speedup, the per-kind
+    jar-digest divergence points and the delta inspection pass's
+    counts.
     """
     from repro import UniverseConfig
     from repro.datastore import CrawlStore
@@ -265,21 +291,25 @@ def run_delta_probe(scale: float, churn: float, store_dir: str) -> dict:
     _, base_universe, targets = _seed_epoch(scale, churn)
     base_store = CrawlStore(os.path.join(store_dir, "epoch0"))
     crawl_both(base_store, base_universe, targets)
+    record_inspections(base_store, base_universe)
 
     evolved_config = UniverseConfig(scale=scale, churn=churn, epoch=1)
 
     def timed_crawl(name, baseline=None):
         # Only the crawl is timed: each side gets its own evolved
-        # universe, built before the clock starts.
+        # universe, built before the clock starts, and records its
+        # inspection pass after the clock stops.
         universe = build_universe(evolved_config, lazy=True)
         store = CrawlStore(os.path.join(store_dir, name))
         start = clock()
         crawl_both(store, universe, targets, baseline=baseline)
-        return store, clock() - start
+        seconds = clock() - start
+        inspections = record_inspections(store, universe, baseline=baseline)
+        return store, seconds, inspections
 
-    delta_store, delta_seconds = timed_crawl("epoch1-delta",
-                                             baseline=base_store)
-    full_store, full_seconds = timed_crawl("epoch1-full")
+    delta_store, delta_seconds, inspections = timed_crawl(
+        "epoch1-delta", baseline=base_store)
+    full_store, full_seconds, _ = timed_crawl("epoch1-full")
 
     spliced = crawled = 0
     runs = {}
@@ -299,6 +329,7 @@ def run_delta_probe(scale: float, churn: float, store_dir: str) -> dict:
         if delta_seconds else None,
         "stores_identical": _store_digest(full_store)
         == _store_digest(delta_store),
+        "inspections": inspections,
     }
 
 

@@ -20,7 +20,7 @@ from ..html.parser import parse_html_cached
 from ..js.runtime import execute_script
 from ..net.cookies import CookieJar
 from ..net.http import Headers, Request, Response
-from ..net.url import URL, URLError, parse_url, registrable_domain
+from ..net.url import URL, URLError, parse_url
 from ..util import token_for
 from ..webgen.universe import ClientContext, FetchError, Universe
 from .events import CookieRecord, CrawlLog, PageVisit, RequestRecord
@@ -200,6 +200,31 @@ class Browser:
     def visit(self, site_domain: str, *, path: str = "/") -> PageVisit:
         """Load a site's landing page with all subresources.
 
+        The document step (:meth:`load_document`) followed by the
+        subresource load of an HTML response.
+        """
+        visit, response, final_url = self._load_document(site_domain, path)
+        if visit.success and "text/html" in response.content_type:
+            self._load_page(response, page_url=final_url,
+                            page_domain=site_domain, depth=0)
+        return visit
+
+    def load_document(self, site_domain: str, *, path: str = "/") -> PageVisit:
+        """Fetch a site's landing document only, without its subresources.
+
+        The returned :class:`PageVisit` equals the one :meth:`visit`
+        returns for the same page: serving never reads request cookies,
+        so the subresources :meth:`visit` goes on to load cannot change
+        the document.  Passes that only read the document (corpus
+        sanitization, the interaction crawler) use this.
+        """
+        return self._load_document(site_domain, path)[0]
+
+    def _load_document(
+        self, site_domain: str, path: str
+    ) -> Tuple[PageVisit, Optional[Response], Optional[URL]]:
+        """Fetch and log the document; returns it with its response and URL.
+
         Tries HTTPS first and downgrades to HTTP when the server does not
         support TLS (mirroring the paper's §5.2 measurement method).
         """
@@ -226,24 +251,17 @@ class Browser:
             visit = PageVisit(site_domain, f"https://{site_domain}{path}",
                               success=False,
                               failure_reason=(record.error or "unreachable"))
-            self.log.visits.append(visit)
-            return visit
-
-        visit = PageVisit(
-            site_domain,
-            str(final_url),
-            success=response.ok,
-            status=response.status,
-            https=final_url.is_secure,
-            html=response.body if self.keep_html else "",
-        )
+        else:
+            visit = PageVisit(
+                site_domain,
+                str(final_url),
+                success=response.ok,
+                status=response.status,
+                https=final_url.is_secure,
+                html=response.body if self.keep_html else "",
+            )
         self.log.visits.append(visit)
-        if not response.ok or "text/html" not in response.content_type:
-            return visit
-
-        self._load_page(response, page_url=final_url,
-                        page_domain=site_domain, depth=0)
-        return visit
+        return visit, response, final_url
 
     def _resource_entries(self, response: Response) -> List[Tuple[str, str]]:
         """The ordered ``(resource_type, url)`` fetch list of an HTML response.

@@ -11,7 +11,7 @@ interacting with the controls.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from ...browser.events import CrawlLog
 from ...cache import BoundedCache, content_key

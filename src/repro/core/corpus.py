@@ -9,7 +9,7 @@ non-pornographic keyword matches are removed as false positives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from ..browser.browser import Browser
 from ..crawler.vpn import client_for
@@ -18,7 +18,7 @@ from ..html.query import meta_tags
 from ..net.geo import VantagePoint
 from ..text.tokenize import tokenize
 from ..webgen.names import ADULT_KEYWORDS
-from ..webgen.universe import ClientContext, Universe
+from ..webgen.universe import Universe
 
 __all__ = [
     "CandidateSet",
@@ -116,14 +116,16 @@ def sanitize_candidates(
     candidates: Iterable[str],
     vantage: VantagePoint,
 ) -> SanitizedCorpus:
-    """Crawl every candidate once and drop the false positives."""
+    """Fetch every candidate's landing document once and drop the false
+    positives (the verdict reads only the document, so no subresource is
+    loaded)."""
     client = client_for(vantage, epoch="sanitization")
     corpus: List[str] = []
     unresponsive: List[str] = []
     non_adult: List[str] = []
     for domain in candidates:
         browser = Browser(universe, client)
-        visit = browser.visit(domain)
+        visit = browser.load_document(domain)
         if not visit.success:
             unresponsive.append(domain)
         elif classify_adult_content(visit.html):

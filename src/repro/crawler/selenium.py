@@ -10,8 +10,8 @@ classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..browser.browser import Browser
 from ..html.dom import Element
@@ -163,7 +163,7 @@ class SeleniumCrawler:
     def inspect(self, domain: str) -> SiteInspection:
         """Full interaction pass over one site's landing page."""
         browser = Browser(self.universe, self.client)
-        visit = browser.visit(domain)
+        visit = browser.load_document(domain)
         if not visit.success:
             return SiteInspection(domain, reachable=False)
         document = parse_html(visit.html)
@@ -201,7 +201,7 @@ class SeleniumCrawler:
         )
         # "Click": reload the landing page with the consent token, the way
         # the gate's JavaScript would navigate.
-        after = browser.visit(domain, path="/?verified=1")
+        after = browser.load_document(domain, path="/?verified=1")
         bypassed = False
         if after.success:
             after_doc = parse_html(after.html)

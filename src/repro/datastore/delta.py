@@ -33,14 +33,20 @@ never depends on the hash being right, only speed does.  The result is
 byte-identical to a full crawl *by construction*, which
 ``make delta-check`` re-proves on every CI run by diffing every
 rendered report table.
+
+The interaction crawler's pass gets the same treatment:
+:func:`baseline_inspections` hands back the baseline's stored
+inspection of every site :func:`_unchanged_since` proves unchanged, so
+an epoch step inspects only the churned sites.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..browser.events import CrawlLog
 from ..net.geo import VantagePoint
@@ -52,11 +58,12 @@ from .serialize import (
     cookie_from_row,
     jscall_from_row,
     request_from_row,
+    run_key,
     visit_from_row,
 )
 from .store import CrawlStore, RunId, RunState
 
-__all__ = ["DeltaSource", "SiteSlice", "delta_crawl"]
+__all__ = ["DeltaSource", "SiteSlice", "baseline_inspections", "delta_crawl"]
 
 _REQ_SEQ = REQUEST_COLUMNS.index("seq")
 _COO_SEQ = COOKIE_COLUMNS.index("seq")
@@ -175,6 +182,73 @@ def _target_hashes(universe):
     return index
 
 
+def _delta_base_config(baseline: CrawlStore,
+                       universe) -> Optional[UniverseConfig]:
+    """The baseline's stored config, if it can serve ``universe`` as a base.
+
+    ``None`` when the baseline holds no stored config or was built from
+    the target's own config (then there is no earlier epoch to reuse).
+    """
+    base_config = baseline.stored_config()
+    if base_config is None \
+            or config_to_json(base_config) == config_to_json(universe.config):
+        return None
+    return base_config
+
+
+def _unchanged_since(baseline: CrawlStore, base_config: UniverseConfig,
+                     universe) -> Callable[[str], bool]:
+    """Predicate: is a site's served content provably unchanged since the
+    baseline's epoch?
+
+    Prefers the evolution lineage (:meth:`Universe.changed_domains_since`
+    — exact, free) and falls back to content-hash comparison when the
+    target universe was not derived from the baseline's epoch in this
+    process (which costs one lazy rebuild of the baseline universe,
+    memoized per store+config).  Callers reuse only what the baseline
+    recorded for a site, so the predicate is asked only about sites the
+    baseline knows.
+    """
+    changed = universe.changed_domains_since(base_config.epoch)
+    if changed is not None:
+        return lambda domain: domain not in changed
+    base_index = DeltaSource.for_store(baseline, base_config).content_hashes()
+    target_index = _target_hashes(universe)
+
+    def unchanged(domain: str) -> bool:
+        base_hash = base_index.hash_of(domain)
+        return base_hash is not None \
+            and base_hash == target_index.hash_of(domain)
+    return unchanged
+
+
+def baseline_inspections(baseline: CrawlStore, universe,
+                         vantage: VantagePoint,
+                         kind: str) -> Dict[str, object]:
+    """The baseline's interaction-crawler results that still hold.
+
+    Maps each site of the baseline's stored inspection pass (the
+    ``kind`` artifact for ``vantage``) that :func:`_unchanged_since`
+    proves unchanged to its :class:`~repro.crawler.selenium.SiteInspection`.
+    An inspection reads only the site's own documents (landing page,
+    age-gate revisit, policy page), which are a pure function of its
+    content, and opens a fresh browser per site, so no cookie jar
+    crosses sites and ``jar_sensitive`` does not apply.  Empty when the
+    delta preconditions fail or the baseline recorded no inspection
+    pass.
+    """
+    base_config = _delta_base_config(baseline, universe)
+    if base_config is None:
+        return {}
+    payload = baseline.get_artifact(run_key(base_config, vantage, kind))
+    if payload is None:
+        return {}
+    unchanged = _unchanged_since(baseline, base_config, universe)
+    return {inspection.domain: inspection
+            for inspection in pickle.loads(payload)
+            if unchanged(inspection.domain)}
+
+
 def _slice_bounds(slice_: SiteSlice) -> Dict[str, Tuple[int, int, int]]:
     """Table -> (lo, hi, expected row count) for one site's slice."""
     return {
@@ -283,21 +357,16 @@ def delta_crawl(
     that needed a real visit (``None`` when everything spliced), which
     is also where a ``jar_sensitive`` universe stops splicing.
 
-    Unchanged-site detection prefers the evolution lineage
-    (:meth:`Universe.changed_domains_since` — exact, free) and falls
-    back to content-hash comparison when the target universe was not
-    derived from the baseline's epoch in this process (which costs one
-    lazy rebuild of the baseline universe, memoized per store+config).
-    Contiguous spliceable sites are read with one ranged scan per event
-    table and committed in one transaction per group, so splice cost is
-    dominated by bulk row I/O rather than per-site round trips.
+    A site splices when the baseline completed it and
+    :func:`_unchanged_since` proves it unchanged.  Contiguous spliceable
+    sites are read with one ranged scan per event table and committed
+    in one transaction per group, so splice cost is dominated by bulk
+    row I/O rather than per-site round trips.
     """
     from ..crawler.openwpm import OpenWPMCrawler
 
-    base_config = baseline.stored_config()
+    base_config = _delta_base_config(baseline, universe)
     if base_config is None:
-        return None
-    if config_to_json(base_config) == config_to_json(universe.config):
         return None
     base_state = baseline.find_run(base_config, vantage, kind, domains,
                                    epoch=epoch, keep_html=keep_html)
@@ -307,23 +376,13 @@ def delta_crawl(
     if not slices:
         return None
 
-    changed = universe.changed_domains_since(base_config.epoch)
-    if changed is None:
-        base_index = DeltaSource.for_store(
-            baseline, base_config).content_hashes()
-        target_index = _target_hashes(universe)
+    unchanged = _unchanged_since(baseline, base_config, universe)
 
     def spliceable(domain: str) -> Optional[SiteSlice]:
         slice_ = slices.get(domain)
-        if slice_ is None:
+        if slice_ is None or not unchanged(domain):
             return None
-        if changed is not None:
-            return None if domain in changed else slice_
-        base_hash = base_index.hash_of(domain)
-        if base_hash is not None \
-                and base_hash == target_index.hash_of(domain):
-            return slice_
-        return None
+        return slice_
 
     crawler = OpenWPMCrawler(universe, vantage, epoch=epoch,
                              keep_html=keep_html)

@@ -311,7 +311,7 @@ def cached_sanitize(universe, candidates: Sequence[str], vantage,
         if verdict not in buckets:
             if client is None:
                 client = client_for(vantage, epoch="sanitization")
-            visit = Browser(universe, client).visit(domain)
+            visit = Browser(universe, client).load_document(domain)
             if not visit.success:
                 verdict = "unresponsive"
             elif classify_adult_content(visit.html):

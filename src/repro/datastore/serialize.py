@@ -24,10 +24,10 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from dataclasses import asdict, fields, is_dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from dataclasses import asdict
+from typing import Any, Optional, Sequence, Tuple
 
-from ..browser.events import CookieRecord, CrawlLog, PageVisit, RequestRecord
+from ..browser.events import CookieRecord, PageVisit, RequestRecord
 from ..js.api import JSCall
 from ..net.geo import VantagePoint
 from ..webgen.config import CalibrationTargets, UniverseConfig
@@ -80,8 +80,20 @@ def _canonical(value: Any) -> str:
 
 
 def config_to_json(config: UniverseConfig) -> str:
-    """Canonical JSON for a :class:`UniverseConfig` (tuples become lists)."""
-    return _canonical(asdict(config))
+    """Canonical JSON for a :class:`UniverseConfig` (tuples become lists).
+
+    Memoized on the instance: ``asdict`` deep-copies the calibration
+    targets on every call, and run keys, store config checks and delta
+    preconditions ask for the same config's text many times per study.
+    The config is frozen, so the text never goes stale; it is cached
+    per instance because a config (its targets hold a dict) is
+    unhashable.
+    """
+    text = config.__dict__.get("_canonical_json")
+    if text is None:
+        text = _canonical(asdict(config))
+        object.__setattr__(config, "_canonical_json", text)
+    return text
 
 
 def _tuplify(value: Any) -> Any:
@@ -127,13 +139,16 @@ def run_key(
     records (the universe serves per-epoch tokens, and HTML retention
     changes the stored visits).
     """
-    payload = _canonical({
-        "config": json.loads(config_to_json(config)),
-        "vantage": json.loads(vantage_to_json(vantage)),
-        "kind": kind,
-        "epoch": epoch,
-        "keep_html": keep_html,
-    })
+    # The canonical config and vantage texts are spliced in verbatim
+    # rather than decoded and re-encoded; with the keys in sorted order
+    # the payload is byte-identical to ``_canonical`` of the whole dict.
+    payload = "{%s}" % ",".join(f'"{key}":{text}' for key, text in (
+        ("config", config_to_json(config)),
+        ("epoch", json.dumps(epoch)),
+        ("keep_html", json.dumps(keep_html)),
+        ("kind", json.dumps(kind)),
+        ("vantage", vantage_to_json(vantage)),
+    ))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

@@ -19,7 +19,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .browser.events import CrawlLog
 from .core.ats import ATSClassifier, ATSResult
@@ -34,7 +34,6 @@ from .core.compliance.policies import (
     CollectedPolicy,
     PolicyReport,
     analyze_policies,
-    collect_policies,
 )
 from .core.cookie_analysis import CookieStats, analyze_cookies
 from .core.cookie_sync import SyncReport, detect_cookie_sync
@@ -293,9 +292,11 @@ class Study:
     # ------------------------------------------------------------------
 
     #: Datastore run kinds shared by the sequential accessors and the
-    #: executor specs, so both paths land on the same manifest rows.
+    #: executor specs, so both paths land on the same manifest rows, and
+    #: the kind that keys the stored inspection pass.
     _PORN_KIND = "openwpm:porn"
     _REGULAR_KIND = "openwpm:regular"
+    _INSPECTIONS_KIND = "selenium:inspections"
 
     def _stored_crawl(self, country: str, kind: str,
                       domains: Sequence[str], *, keep_html: bool) -> CrawlLog:
@@ -638,21 +639,23 @@ class Study:
         With a store attached the pass is persisted as a pickled
         artifact keyed like a run (config + vantage + crawler kind), so
         ``repro report`` can render the policy/business tables without
-        re-running the interaction crawler.
+        re-running the interaction crawler.  With a ``baseline_store``
+        the baseline's recorded pass supplies every site the delta layer
+        proves unchanged (see
+        :func:`~repro.datastore.delta.baseline_inspections`); only the
+        other sites are inspected.
         """
 
         def inspect() -> List[SiteInspection]:
+            import pickle
+
+            vantage = self.vantage_points.point(self.home_country)
             artifact_key = None
             if self.store is not None:
-                import pickle
-
                 from .datastore import MissingRunError, run_key
 
-                artifact_key = run_key(
-                    self.universe.config,
-                    self.vantage_points.point(self.home_country),
-                    "selenium:inspections",
-                )
+                artifact_key = run_key(self.universe.config, vantage,
+                                       self._INSPECTIONS_KIND)
                 payload = self.store.get_artifact(artifact_key)
                 if payload is not None:
                     return pickle.loads(payload)
@@ -661,13 +664,18 @@ class Study:
                         f"store {self.store.path} holds no inspection pass; "
                         "re-run `repro study --store` to record it"
                     )
-            crawler = SeleniumCrawler(
-                self.universe, self.vantage_points.point(self.home_country)
-            )
-            results = [crawler.inspect(domain)
+            reused: Dict[str, SiteInspection] = {}
+            if self.baseline_store is not None:
+                from .datastore.delta import baseline_inspections
+
+                reused = baseline_inspections(
+                    self.baseline_store, self.universe, vantage,
+                    self._INSPECTIONS_KIND)
+            crawler = SeleniumCrawler(self.universe, vantage)
+            results = [reused[domain] if domain in reused
+                       else crawler.inspect(domain)
                        for domain in self.corpus_domains()]
             if artifact_key is not None:
-                import pickle
                 self.store.put_artifact(artifact_key,
                                         pickle.dumps(results, protocol=4))
             return results

@@ -690,8 +690,10 @@ def evolve_universe(
         aggregator_listings=universe.aggregator_listings,
         alexa_category_sites=universe.alexa_category_sites,
         # Policies are rarely updated in the wild; texts are carried over.
-        # Only Selenium inspections read them, and those re-run per epoch
-        # identically in full and delta studies alike.
+        # Only Selenium inspections read them, and delta studies reuse an
+        # unchanged site's inspection from the previous epoch: the texts
+        # are outside the content hash, so an epoch that rewrote one
+        # would have to list its site in the overlays.
         policy_texts=universe._policy_texts,
         full_list_site=universe.full_list_site,
         whois=_evolved_whois(universe.whois, services),

@@ -113,6 +113,41 @@ class TestVisit:
         assert visit.html == ""
 
 
+class TestLoadDocument:
+    """The document step alone returns exactly what a full visit returns."""
+
+    @pytest.mark.parametrize("seed", [2, 20191021])
+    def test_document_step_matches_visit(self, seed):
+        from repro import UniverseConfig
+        from repro.core.corpus import compile_candidates
+        from repro.crawler.vpn import VantagePointManager, client_for
+        from repro.webgen.builder import build_universe
+
+        universe = build_universe(UniverseConfig(seed=seed, scale=0.02),
+                                  lazy=True)
+        home = VantagePointManager().point("ES")
+        clients = [client_for(home, epoch="sanitization"),
+                   client_for(home, epoch="crawl")]
+        for domain in compile_candidates(universe).domains:
+            for client, path in zip(clients, ("/", "/?verified=1")):
+                full = Browser(universe, client)
+                document = Browser(universe, client)
+                visit = full.visit(domain, path=path)
+                assert document.load_document(domain, path=path) == visit
+                assert document.log.visits == [visit]
+                assert {r.resource_type for r in document.log.requests} \
+                    == {"document"}
+
+    def test_document_step_skips_subresources(self, universe):
+        domain = cookie_site(universe)
+        full = Browser(universe, ES)
+        full.visit(domain)
+        document = Browser(universe, ES)
+        document.load_document(domain)
+        assert len(document.log.requests) < len(full.log.requests)
+        assert not document.log.js_calls
+
+
 class TestRedirects:
     def test_sync_redirect_followed_and_relabeled(self, universe):
         """Redirect hops carry the redirector as referrer (inclusion chain)."""

@@ -53,6 +53,30 @@ class TestRunIdentity:
         assert base != run_key(config, es, "openwpm:porn", keep_html=False)
         assert base != run_key(config, es, "openwpm:porn", epoch="revisit")
 
+    def test_run_key_matches_stores_written_before(self, vantage_points):
+        """Keys computed from the memoized config text are the digests
+        earlier releases wrote, so existing stores still resolve."""
+        assert run_key(UniverseConfig(seed=1, scale=0.1),
+                       vantage_points.point("ES"), "openwpm:porn") == \
+            "5bbd48a1061b5c1d4508ffbaf9f88b015ddaed5ce9c0968a5804aedf8ab804b9"
+        assert run_key(UniverseConfig(seed=2, scale=0.02, epoch=1,
+                                      churn=0.05),
+                       vantage_points.point("US"), "selenium:inspections",
+                       keep_html=False, epoch="revisit") == \
+            "cce0a2ffaf3a98601e0273d97a2e7da235d7301ec771900dadbbde772564175f"
+
+    def test_config_json_memo_follows_the_instance(self):
+        import dataclasses
+        import pickle
+
+        config = UniverseConfig(seed=3, scale=0.05)
+        text = config_to_json(config)
+        assert config_to_json(config) is text
+        assert config_to_json(pickle.loads(pickle.dumps(config))) == text
+        moved = dataclasses.replace(config, epoch=4)
+        assert config_from_json(config_to_json(moved)) == moved
+        assert config_to_json(moved) != text
+
     def test_store_rejects_second_config(self, store, universe,
                                          vantage_points):
         store.open_run(universe.config, vantage_points.point("ES"),
